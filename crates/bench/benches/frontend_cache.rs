@@ -4,10 +4,12 @@
 //! measures the whole cached sweep (one live capture + eight replayed
 //! lanes); `replay_only_8cfg` isolates the replay engine by reusing a
 //! pre-captured buffer, which is the marginal cost of every grid point
-//! after the first. The serial baseline is the same fan run live.
+//! after the first. `replay_only_mixed_8cfg` replays the same buffer into
+//! a fan that alternates NSF and segmented files, the shape of the
+//! Figs. 11-12 size sweep. The serial baseline is the same fan run live.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nsf_bench::nsf_config;
+use nsf_bench::{nsf_config, segmented_config, SEQ_CTX_REGS};
 use nsf_sim::SimConfig;
 use nsf_trace::{capture_frontend, replay_frontend};
 use nsf_workloads::{gatesim, run};
@@ -37,6 +39,15 @@ fn bench_frontend_cache(c: &mut Criterion) {
     let buf = capture_frontend(&w, cfgs[0]).expect("captures");
     g.bench_function("replay_only_8cfg", |b| {
         b.iter(|| replay_frontend(&buf, &w, &cfgs).expect("replays"))
+    });
+    let mixed: Vec<SimConfig> = (0..8u32)
+        .map(|i| match i % 2 {
+            0 => nsf_config(48 + 16 * i),
+            _ => segmented_config(2 + i / 2, SEQ_CTX_REGS),
+        })
+        .collect();
+    g.bench_function("replay_only_mixed_8cfg", |b| {
+        b.iter(|| replay_frontend(&buf, &w, &mixed).expect("replays"))
     });
     g.finish();
 }

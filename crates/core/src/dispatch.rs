@@ -42,6 +42,23 @@ impl EngineDispatch {
         EngineDispatch::Boxed(inner)
     }
 
+    /// Hands the engine inside to `v` as its concrete type: one `match`
+    /// here, then `v` runs monomorphized for that family, so a whole
+    /// replay loop inlines the engine instead of re-dispatching per op.
+    /// `Boxed` engines arrive as `&mut dyn RegisterFile`, so the variant
+    /// list stays in this module.
+    #[inline]
+    pub fn visit<V: EngineVisitor>(&mut self, v: V) -> V::Output {
+        match self {
+            EngineDispatch::Nsf(e) => v.visit(e),
+            EngineDispatch::Segmented(e) => v.visit(e),
+            EngineDispatch::Windowed(e) => v.visit(e),
+            EngineDispatch::Conventional(e) => v.visit(e),
+            EngineDispatch::Oracle(e) => v.visit(e),
+            EngineDispatch::Boxed(e) => v.visit(&mut **e),
+        }
+    }
+
     /// Applies one architectural operation — the lane-stepping entry
     /// point. Every [`RegisterFile`] method that the simulator or the
     /// differential checker issues per instruction is reachable through
@@ -102,6 +119,17 @@ impl EngineDispatch {
             visit(i, lane.apply_op(op, store));
         }
     }
+}
+
+/// Work that runs over one engine at its concrete type, entered through
+/// [`EngineDispatch::visit`]. `visit` is instantiated once per engine
+/// family (plus once for `dyn RegisterFile`), so a loop inside it calls
+/// the engine statically.
+pub trait EngineVisitor {
+    /// What the visit returns.
+    type Output;
+    /// Runs over `engine`.
+    fn visit<E: RegisterFile + ?Sized>(self, engine: &mut E) -> Self::Output;
 }
 
 /// One architectural register-file operation in the form the
@@ -279,7 +307,86 @@ impl RegisterFile for EngineDispatch {
 mod tests {
     use super::*;
     use crate::store::MapStore;
-    use crate::NsfConfig;
+    use crate::{EventSink, NsfConfig, RecordingFile, SegmentedConfig, WindowedConfig};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// `op` as a direct trait call on `e` — the reference `apply_op` and
+    /// `visit` are both checked against.
+    fn direct_call<E: RegisterFile + ?Sized>(
+        e: &mut E,
+        op: LaneOp,
+        store: &mut dyn BackingStore,
+    ) -> Result<LaneStep, RegFileError> {
+        match op {
+            LaneOp::Read(a) => e.read(a, store).map(|acc| LaneStep {
+                value: Some(acc.value),
+                stall_cycles: acc.stall_cycles,
+            }),
+            LaneOp::Write(a, v) => e.write(a, v, store).map(|acc| LaneStep {
+                value: None,
+                stall_cycles: acc.stall_cycles,
+            }),
+            LaneOp::SwitchTo(c) => e.switch_to(c, store).map(LaneStep::switch),
+            LaneOp::CallPush(c) => e.call_push(c, store).map(LaneStep::switch),
+            LaneOp::ThreadSwitch(c) => e.thread_switch(c, store).map(LaneStep::switch),
+            LaneOp::FreeContext(c) => {
+                e.free_context(c, store);
+                Ok(LaneStep::free())
+            }
+            LaneOp::FreeReg(a) => {
+                e.free_reg(a, store);
+                Ok(LaneStep::free())
+            }
+        }
+    }
+
+    /// Runs an op stream over whatever engine [`EngineDispatch::visit`]
+    /// hands it, returning every step's result.
+    struct RunOps<'a> {
+        ops: &'a [LaneOp],
+        store: &'a mut MapStore,
+    }
+
+    impl EngineVisitor for RunOps<'_> {
+        type Output = Vec<Result<LaneStep, RegFileError>>;
+        fn visit<E: RegisterFile + ?Sized>(self, engine: &mut E) -> Self::Output {
+            self.ops
+                .iter()
+                .map(|&op| direct_call(engine, op, self.store))
+                .collect()
+        }
+    }
+
+    /// Counts the register-file events a [`RecordingFile`] reports.
+    #[derive(Default)]
+    struct CountSink(u64);
+
+    impl EventSink for CountSink {
+        fn reg_read(&mut self, _: RegAddr) {
+            self.0 += 1;
+        }
+        fn reg_write(&mut self, _: RegAddr, _: Word) {
+            self.0 += 1;
+        }
+        fn switch_to(&mut self, _: Cid) {
+            self.0 += 1;
+        }
+        fn call_push(&mut self, _: Cid) {
+            self.0 += 1;
+        }
+        fn thread_switch(&mut self, _: Cid) {
+            self.0 += 1;
+        }
+        fn free_context(&mut self, _: Cid) {
+            self.0 += 1;
+        }
+        fn free_reg(&mut self, _: RegAddr) {
+            self.0 += 1;
+        }
+        fn mem_read(&mut self, _: nsf_mem::Addr) {}
+        fn mem_write(&mut self, _: nsf_mem::Addr) {}
+    }
 
     #[test]
     fn dispatch_matches_inner_engine() {
@@ -319,27 +426,7 @@ mod tests {
         let mut via: EngineDispatch = NamedStateFile::new(NsfConfig::paper_default(32)).into();
         let (mut sd, mut sv) = (MapStore::new(), MapStore::new());
         for &op in &ops {
-            let want = match op {
-                LaneOp::Read(a) => direct.read(a, &mut sd).map(|acc| LaneStep {
-                    value: Some(acc.value),
-                    stall_cycles: acc.stall_cycles,
-                }),
-                LaneOp::Write(a, v) => direct.write(a, v, &mut sd).map(|acc| LaneStep {
-                    value: None,
-                    stall_cycles: acc.stall_cycles,
-                }),
-                LaneOp::SwitchTo(c) => direct.switch_to(c, &mut sd).map(LaneStep::switch),
-                LaneOp::CallPush(c) => direct.call_push(c, &mut sd).map(LaneStep::switch),
-                LaneOp::ThreadSwitch(c) => direct.thread_switch(c, &mut sd).map(LaneStep::switch),
-                LaneOp::FreeContext(c) => {
-                    direct.free_context(c, &mut sd);
-                    Ok(LaneStep::free())
-                }
-                LaneOp::FreeReg(a) => {
-                    direct.free_reg(a, &mut sd);
-                    Ok(LaneStep::free())
-                }
-            };
+            let want = direct_call(&mut direct, op, &mut sd);
             let got = via.apply_op(op, &mut sv);
             match (want, got) {
                 (Ok(w), Ok(g)) => assert_eq!(w, g, "{op:?}"),
@@ -348,6 +435,68 @@ mod tests {
             }
         }
         assert_eq!(direct.stats(), via.stats());
+    }
+
+    #[test]
+    fn visit_reaches_the_same_engine_for_every_variant() {
+        // Small files, three contexts: segmented/conventional switches
+        // spill and reload, so the stream exercises the backing store.
+        let ops = [
+            LaneOp::ThreadSwitch(1),
+            LaneOp::Write(RegAddr::new(1, 0), 42),
+            LaneOp::CallPush(2),
+            LaneOp::Write(RegAddr::new(2, 3), 7),
+            LaneOp::CallPush(3),
+            LaneOp::Write(RegAddr::new(3, 1), 9),
+            LaneOp::Read(RegAddr::new(3, 1)),
+            LaneOp::SwitchTo(2),
+            LaneOp::Read(RegAddr::new(2, 3)),
+            LaneOp::SwitchTo(1),
+            LaneOp::Read(RegAddr::new(1, 0)),
+            LaneOp::FreeReg(RegAddr::new(1, 0)),
+            LaneOp::FreeContext(3),
+            LaneOp::FreeContext(2),
+            LaneOp::FreeContext(1),
+        ];
+        let build = |sink: &Rc<RefCell<CountSink>>| -> Vec<EngineDispatch> {
+            vec![
+                NamedStateFile::new(NsfConfig::paper_default(16)).into(),
+                SegmentedFile::new(SegmentedConfig::paper_default(2, 8)).into(),
+                WindowedFile::new(WindowedConfig::sparc_like(8)).into(),
+                ConventionalFile::new(8).into(),
+                OracleFile::new().into(),
+                EngineDispatch::boxed(Box::new(RecordingFile::new(
+                    Box::new(NamedStateFile::new(NsfConfig::paper_default(16))),
+                    sink.clone(),
+                ))),
+            ]
+        };
+        let (sink_v, sink_d) = (Rc::default(), Rc::default());
+        let mut visited = build(&sink_v);
+        let mut dispatched = build(&sink_d);
+        for (v, d) in visited.iter_mut().zip(dispatched.iter_mut()) {
+            let (mut sv, mut sd) = (MapStore::new(), MapStore::new());
+            let got = v.visit(RunOps {
+                ops: &ops,
+                store: &mut sv,
+            });
+            for (&op, g) in ops.iter().zip(got) {
+                let want = d.apply_op(op, &mut sd);
+                assert_eq!(
+                    format!("{g:?}"),
+                    format!("{want:?}"),
+                    "{} {op:?}",
+                    d.describe()
+                );
+            }
+            assert_eq!(v.describe(), d.describe());
+            assert_eq!(v.stats(), d.stats(), "{}", d.describe());
+            assert_eq!(v.stats().reads, 3, "{}", d.describe());
+            assert_eq!(v.occupancy().valid_regs, d.occupancy().valid_regs);
+        }
+        // The boxed recorder itself was visited, not just its inner file.
+        assert_eq!(sink_v.borrow().0, ops.len() as u64);
+        assert_eq!(sink_d.borrow().0, ops.len() as u64);
     }
 
     #[test]

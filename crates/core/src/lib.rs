@@ -54,7 +54,7 @@ pub mod windowed;
 
 pub use addr::{Cid, RegAddr};
 pub use conventional::ConventionalFile;
-pub use dispatch::{EngineDispatch, LaneOp, LaneStep};
+pub use dispatch::{EngineDispatch, EngineVisitor, LaneOp, LaneStep};
 pub use nsf::{NamedStateFile, NsfConfig};
 pub use oracle::OracleFile;
 pub use policy::{ReloadPolicy, ReplacementPolicy, SpillEngine, WriteMissPolicy};

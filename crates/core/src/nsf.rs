@@ -310,7 +310,11 @@ impl NamedStateFile {
     }
 }
 
+// The per-op methods are `#[inline]` so that a caller monomorphized on
+// this engine in another crate (the frontend cache's replay kernel) can
+// inline them; without LTO a non-generic method stays an opaque call.
 impl RegisterFile for NamedStateFile {
+    #[inline]
     fn read(
         &mut self,
         addr: RegAddr,
@@ -363,6 +367,7 @@ impl RegisterFile for NamedStateFile {
         })
     }
 
+    #[inline]
     fn write(
         &mut self,
         addr: RegAddr,
@@ -403,6 +408,7 @@ impl RegisterFile for NamedStateFile {
         })
     }
 
+    #[inline]
     fn switch_to(&mut self, cid: Cid, _store: &mut dyn BackingStore) -> Result<u32, RegFileError> {
         // "Context switching is very fast with the NSF, since no registers
         // must be saved or restored."
@@ -427,6 +433,7 @@ impl RegisterFile for NamedStateFile {
         store.discard_context(cid);
     }
 
+    #[inline]
     fn free_reg(&mut self, addr: RegAddr, store: &mut dyn BackingStore) {
         let rpl = self.cfg.regs_per_line;
         let line = addr.line_index(rpl);
@@ -450,6 +457,7 @@ impl RegisterFile for NamedStateFile {
         self.cfg.total_regs
     }
 
+    #[inline]
     fn occupancy(&self) -> Occupancy {
         Occupancy {
             valid_regs: self.valid_count,

@@ -372,7 +372,11 @@ impl SegmentedFile {
     }
 }
 
+// The per-op methods are `#[inline]` so that a caller monomorphized on
+// this engine in another crate (the frontend cache's replay kernel) can
+// inline them; without LTO a non-generic method stays an opaque call.
 impl RegisterFile for SegmentedFile {
+    #[inline]
     fn read(
         &mut self,
         addr: RegAddr,
@@ -393,6 +397,7 @@ impl RegisterFile for SegmentedFile {
         Ok(Access::hit(frame.regs[addr.offset as usize]))
     }
 
+    #[inline]
     fn write(
         &mut self,
         addr: RegAddr,
@@ -414,6 +419,7 @@ impl RegisterFile for SegmentedFile {
         Ok(Access::hit(value))
     }
 
+    #[inline]
     fn switch_to(&mut self, cid: Cid, store: &mut dyn BackingStore) -> Result<u32, RegFileError> {
         self.stats.context_switches += 1;
         if let Some(idx) = self.resident_frame(cid) {
@@ -488,6 +494,7 @@ impl RegisterFile for SegmentedFile {
         self.cfg.frames * u32::from(self.cfg.frame_regs)
     }
 
+    #[inline]
     fn occupancy(&self) -> Occupancy {
         Occupancy {
             valid_regs: self.valid_count,

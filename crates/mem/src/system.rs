@@ -47,6 +47,7 @@ impl MemSystem {
     /// Loads the word at `addr` through the data cache.
     ///
     /// Returns `(value, cycles)`.
+    #[inline]
     pub fn load(&mut self, addr: Addr) -> (Word, u32) {
         let cycles = self.dcache.access(addr, false);
         (self.memory.read(addr), cycles)
@@ -54,6 +55,7 @@ impl MemSystem {
 
     /// Stores `value` at `addr` through the data cache. Returns the cycle
     /// cost.
+    #[inline]
     pub fn store(&mut self, addr: Addr, value: Word) -> u32 {
         let cycles = self.dcache.access(addr, true);
         self.memory.write(addr, value);
@@ -63,6 +65,7 @@ impl MemSystem {
     /// Atomic fetch-and-add on `addr` (uniprocessor, so trivially atomic).
     ///
     /// Returns `(old_value, cycles)`.
+    #[inline]
     pub fn fetch_add(&mut self, addr: Addr, delta: i32) -> (Word, u32) {
         let cycles = self.dcache.access(addr, true);
         let old = self.memory.read(addr);

@@ -44,7 +44,7 @@
 //! lane-invariant and copied from the capture's report.
 
 use crate::format::VarWriter;
-use nsf_core::{Cid, EngineDispatch, LaneOp, RegAddr, RegisterFile};
+use nsf_core::{Cid, EngineDispatch, EngineVisitor, LaneOp, RegAddr, RegisterFile};
 use nsf_mem::{Addr, MemSystem, Word};
 use nsf_sim::{
     FrontendProbe, LaneSet, LaneStore, OccupancySummary, RunReport, SimConfig, SimError,
@@ -221,9 +221,7 @@ pub fn capture_frontend(
 /// [`nsf_workloads::run`] would return for each, with every lane's
 /// final memory validated against the workload's check. The buffer is
 /// decoded **once** into a flat replay program; each lane then runs as
-/// its own tight engine+memory pass over it (lanes are independent, so
-/// per-lane sequencing and per-event lockstep produce identical
-/// results — the former keeps one lane's engine and cache state hot).
+/// its own engine+memory pass over it (see `ReplaySet::run`).
 /// Any divergence from the recorded live values aborts with
 /// [`SimError::LaneDivergence`]; corrupt buffers abort with
 /// [`SimError::BadConfig`].
@@ -567,130 +565,29 @@ impl ReplaySet {
         }
     }
 
-    /// Decodes the event stream once, then drives every lane through it
-    /// in lockstep: each decoded op is fetched and dispatched once and
-    /// applied to every lane while it is hot, so the op-stream traffic
-    /// and dispatch cost are paid once per *group* instead of once per
-    /// lane. The engines' combined state is small next to the
-    /// multi-megabyte op stream, so lockstep keeps every lane's register
-    /// file resident; lanes are independent, so any interleaving
-    /// produces identical results. Every value-bearing event is checked
-    /// against the recording — the first disagreement fails the run.
+    /// Decodes the event stream once, then runs the lanes one after
+    /// another over it. Each lane enters [`replay_lane`] through
+    /// [`EngineDispatch::visit`]: its engine family is matched once per
+    /// lane, and the whole op loop runs monomorphized for it, with the
+    /// engine's methods called (and inlined) statically. Lanes are
+    /// independent, so lane order produces the same results as any
+    /// interleaving. The first lane to fail stops the set with its error.
     fn run(&mut self, buf: &FrontendBuffer) -> Result<(), SimError> {
         let ops = decode_ops(buf)?;
-        for op in &ops {
-            self.step_all(op)?;
-        }
-        Ok(())
-    }
-
-    /// Applies one decoded op to every lane.
-    fn step_all(&mut self, op: &ReplayOp) -> Result<(), SimError> {
-        let pc = op.pc;
-        match op.kind {
-            FTAG_READ => self.reg_all(LaneOp::Read(RegAddr::new(op.cid, op.off)), Some(op.a), pc),
-            FTAG_WRITE => self.reg_all(LaneOp::Write(RegAddr::new(op.cid, op.off), op.a), None, pc),
-            FTAG_SWITCH => self.reg_all(LaneOp::SwitchTo(op.cid), None, pc),
-            FTAG_CALL_PUSH => self.reg_all(LaneOp::CallPush(op.cid), None, pc),
-            FTAG_THREAD_SWITCH => self.reg_all(LaneOp::ThreadSwitch(op.cid), None, pc),
-            FTAG_FREE_CONTEXT => self.reg_all(LaneOp::FreeContext(op.cid), None, pc),
-            FTAG_FREE_REG => self.reg_all(LaneOp::FreeReg(RegAddr::new(op.cid, op.off)), None, pc),
-            FTAG_LOAD => {
-                for (lane, (store, clock)) in
-                    self.stores.iter_mut().zip(&mut self.clocks).enumerate()
-                {
-                    let (v, cycles) = store.mem.load(op.a);
-                    *clock += u64::from(cycles);
-                    if v != op.b {
-                        return Err(SimError::LaneDivergence {
-                            pc,
-                            lane,
-                            detail: format!(
-                                "cached replay of load {:#x} (event {pc}) read {v}, \
-                                 live run recorded {}",
-                                op.a, op.b
-                            ),
-                        });
-                    }
-                }
-                Ok(())
-            }
-            FTAG_STORE => {
-                for (store, clock) in self.stores.iter_mut().zip(&mut self.clocks) {
-                    *clock += u64::from(store.mem.store(op.a, op.b));
-                }
-                Ok(())
-            }
-            FTAG_AMO => {
-                let delta = op.b as i32;
-                for (lane, (store, clock)) in
-                    self.stores.iter_mut().zip(&mut self.clocks).enumerate()
-                {
-                    let (old, cycles) = store.mem.fetch_add(op.a, delta);
-                    *clock += u64::from(cycles);
-                    if old != op.c {
-                        return Err(SimError::LaneDivergence {
-                            pc,
-                            lane,
-                            detail: format!(
-                                "cached replay of amoadd {:#x} (event {pc}) read {old}, \
-                                 live run recorded {}",
-                                op.a, op.c
-                            ),
-                        });
-                    }
-                }
-                Ok(())
-            }
-            FTAG_SAMPLE => {
-                for (occ, rf) in self.occupancy.iter_mut().zip(&self.regfiles) {
-                    occ.record(rf.occupancy());
-                }
-                Ok(())
-            }
-            RTAG_MAP => {
-                for store in &mut self.stores {
-                    store.mem.ctable_mut().map(op.cid, op.a);
-                }
-                Ok(())
-            }
-            RTAG_UNMAP => {
-                for store in &mut self.stores {
-                    store.mem.ctable_mut().unmap(op.cid);
-                }
-                Ok(())
-            }
-            other => unreachable!("decode_ops admits no tag {other}"),
-        }
-    }
-
-    /// Applies one register-file op to every lane, checking each lane's
-    /// result against the live run's recorded value.
-    fn reg_all(&mut self, rop: LaneOp, expect: Option<Word>, pc: u32) -> Result<(), SimError> {
-        for (lane, ((rf, store), clock)) in self
+        let lanes = self
             .regfiles
             .iter_mut()
-            .zip(self.stores.iter_mut())
-            .zip(self.clocks.iter_mut())
-            .enumerate()
-        {
-            match rf.apply_op(rop, store) {
-                Ok(step) => {
-                    *clock += u64::from(step.stall_cycles);
-                    if step.value != expect {
-                        return Err(SimError::LaneDivergence {
-                            pc,
-                            lane,
-                            detail: format!(
-                                "cached replay of {rop:?} (event {pc}) returned {:?}, \
-                                 live run recorded {expect:?}",
-                                step.value
-                            ),
-                        });
-                    }
-                }
-                Err(source) => return Err(SimError::RegFile { pc, source }),
-            }
+            .zip(&mut self.stores)
+            .zip(&mut self.clocks)
+            .zip(&mut self.occupancy);
+        for (lane, (((engine, store), clock), occupancy)) in lanes.enumerate() {
+            engine.visit(LaneReplay {
+                store,
+                clock,
+                occupancy,
+                ops: &ops,
+                lane,
+            })?;
         }
         Ok(())
     }
@@ -711,11 +608,135 @@ impl ReplaySet {
     }
 }
 
+/// One lane's pass over the decoded stream, handed to its engine by
+/// [`EngineDispatch::visit`].
+struct LaneReplay<'a> {
+    store: &'a mut LaneStore,
+    clock: &'a mut u64,
+    occupancy: &'a mut OccupancySummary,
+    ops: &'a [ReplayOp],
+    lane: usize,
+}
+
+impl EngineVisitor for LaneReplay<'_> {
+    type Output = Result<(), SimError>;
+
+    fn visit<E: RegisterFile + ?Sized>(self, engine: &mut E) -> Self::Output {
+        replay_lane(
+            engine,
+            self.store,
+            self.clock,
+            self.occupancy,
+            self.ops,
+            self.lane,
+        )
+    }
+}
+
+/// Drives one engine and its memory hierarchy through the decoded
+/// stream: register ops go to `engine`, loads/stores/atomics and Ctable
+/// maintenance to `store.mem`, and stall and cache cycles accumulate
+/// into `clock`. Every value-bearing event is checked against the
+/// recording; the first disagreement fails with
+/// [`SimError::LaneDivergence`], an engine failure with
+/// [`SimError::RegFile`].
+fn replay_lane<E: RegisterFile + ?Sized>(
+    engine: &mut E,
+    store: &mut LaneStore,
+    clock: &mut u64,
+    occupancy: &mut OccupancySummary,
+    ops: &[ReplayOp],
+    lane: usize,
+) -> Result<(), SimError> {
+    let mut cycles = 0u64;
+    for op in ops {
+        let pc = op.pc;
+        let failed = |source| SimError::RegFile { pc, source };
+        match op.kind {
+            FTAG_READ => {
+                let addr = RegAddr::new(op.cid, op.off);
+                let acc = engine.read(addr, store).map_err(failed)?;
+                cycles += u64::from(acc.stall_cycles);
+                if acc.value != op.a {
+                    return Err(diverged(
+                        pc,
+                        lane,
+                        format_args!(
+                            "cached replay of read {addr} (event {pc}) returned {}, \
+                             live run recorded {}",
+                            acc.value, op.a
+                        ),
+                    ));
+                }
+            }
+            FTAG_WRITE => {
+                let addr = RegAddr::new(op.cid, op.off);
+                let acc = engine.write(addr, op.a, store).map_err(failed)?;
+                cycles += u64::from(acc.stall_cycles);
+            }
+            FTAG_SWITCH => cycles += u64::from(engine.switch_to(op.cid, store).map_err(failed)?),
+            FTAG_CALL_PUSH => cycles += u64::from(engine.call_push(op.cid, store).map_err(failed)?),
+            FTAG_THREAD_SWITCH => {
+                cycles += u64::from(engine.thread_switch(op.cid, store).map_err(failed)?);
+            }
+            FTAG_FREE_CONTEXT => engine.free_context(op.cid, store),
+            FTAG_FREE_REG => engine.free_reg(RegAddr::new(op.cid, op.off), store),
+            FTAG_LOAD => {
+                let (v, c) = store.mem.load(op.a);
+                cycles += u64::from(c);
+                if v != op.b {
+                    return Err(diverged(
+                        pc,
+                        lane,
+                        format_args!(
+                            "cached replay of load {:#x} (event {pc}) read {v}, \
+                             live run recorded {}",
+                            op.a, op.b
+                        ),
+                    ));
+                }
+            }
+            FTAG_STORE => cycles += u64::from(store.mem.store(op.a, op.b)),
+            FTAG_AMO => {
+                let (old, c) = store.mem.fetch_add(op.a, op.b as i32);
+                cycles += u64::from(c);
+                if old != op.c {
+                    return Err(diverged(
+                        pc,
+                        lane,
+                        format_args!(
+                            "cached replay of amoadd {:#x} (event {pc}) read {old}, \
+                             live run recorded {}",
+                            op.a, op.c
+                        ),
+                    ));
+                }
+            }
+            FTAG_SAMPLE => occupancy.record(engine.occupancy()),
+            RTAG_MAP => store.mem.ctable_mut().map(op.cid, op.a),
+            RTAG_UNMAP => store.mem.ctable_mut().unmap(op.cid),
+            other => unreachable!("decode_ops admits no tag {other}"),
+        }
+    }
+    *clock += cycles;
+    Ok(())
+}
+
+/// A replayed value disagreed with the live run's recording.
+#[cold]
+fn diverged(pc: u32, lane: usize, detail: std::fmt::Arguments<'_>) -> SimError {
+    SimError::LaneDivergence {
+        pc,
+        lane,
+        detail: detail.to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::VarReader;
-    use nsf_core::SpillEngine;
+    use nsf_core::{RegFileError, SpillEngine};
     use nsf_sim::RegFileSpec;
 
     fn five_specs() -> Vec<SimConfig> {
@@ -765,6 +786,56 @@ mod tests {
         let buf = capture_frontend(&w, cfg).unwrap();
         let replayed = replay_frontend(&buf, &w, &[cfg]).unwrap();
         assert_eq!(replayed[0], buf.report);
+    }
+
+    #[test]
+    fn failing_lane_reports_its_own_typed_error_in_any_position() {
+        let w = nsf_workloads::gatesim::build(0);
+        let nsf = SimConfig::with_regfile(RegFileSpec::paper_nsf(64));
+        let seg = SimConfig::with_regfile(RegFileSpec::paper_segmented(4, 32));
+        // Frames narrower than the program's register offsets: the
+        // engine rejects the first out-of-range access.
+        let narrow = SimConfig::with_regfile(RegFileSpec::paper_segmented(4, 2));
+        let buf = capture_frontend(&w, nsf).unwrap();
+        let alone = replay_frontend(&buf, &w, &[narrow]).unwrap_err();
+        let WorkloadError::Sim(SimError::RegFile {
+            source: RegFileError::BadOffset(_),
+            ..
+        }) = &alone
+        else {
+            panic!("expected RegFile/BadOffset, got {alone:?}");
+        };
+        for at in [0, 2, 4] {
+            let mut cfgs = vec![nsf, seg, nsf, seg, nsf];
+            cfgs[at] = narrow;
+            let err = replay_frontend(&buf, &w, &cfgs).unwrap_err();
+            assert_eq!(
+                format!("{err:?}"),
+                format!("{alone:?}"),
+                "failing lane at {at}"
+            );
+        }
+    }
+
+    #[test]
+    fn mixed_size_fan_of_17_lanes_matches_live_runs() {
+        // The Figs. 11-12 size fan as one replay group: NSF and
+        // segmented files alternate, so every lane switches family.
+        let w = nsf_workloads::gatesim::build(0);
+        let mut cfgs = Vec::new();
+        for frames in 2..=10u32 {
+            cfgs.push(SimConfig::with_regfile(RegFileSpec::paper_nsf(frames * 20)));
+            cfgs.push(SimConfig::with_regfile(RegFileSpec::paper_segmented(
+                frames, 20,
+            )));
+        }
+        let buf = capture_frontend(&w, cfgs[0]).unwrap();
+        let replayed = replay_frontend(&buf, &w, &cfgs[1..]).unwrap();
+        assert_eq!(replayed.len(), 17);
+        for (cfg, rep) in cfgs[1..].iter().zip(&replayed) {
+            let live = nsf_workloads::run(&w, *cfg).unwrap();
+            assert_eq!(*rep, live, "{}", rep.regfile_desc);
+        }
     }
 
     #[test]
