@@ -2,9 +2,9 @@
 //! simulating it on each register file organization.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nsf_bench::{nsf_config, segmented_config, segmented_software_config};
-use nsf_sim::SimConfig;
-use nsf_workloads::{gatesim, quicksort, run};
+use nsf_bench::{nsf_config, segmented_config, segmented_software_config, PAR_CTX_REGS};
+use nsf_sim::{RegFileSpec, SimConfig};
+use nsf_workloads::{gamteb, gatesim, paraffins, quicksort, run};
 
 fn bench_simulation(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate");
@@ -22,6 +22,30 @@ fn bench_simulation(c: &mut Criterion) {
         g.bench_function(format!("quicksort_{tag}"), |b| {
             b.iter(|| run(&qs, cfg).expect("validates"));
         });
+    }
+    g.finish();
+}
+
+/// The multithreaded benchmarks, which always run on the live `Machine`
+/// (they switch threads too often to batch or replay). One point per
+/// engine family the run loop is monomorphized for.
+fn bench_live_parallel(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simulate/live_par");
+    g.sample_size(20);
+    let workloads = [gamteb::build(0), paraffins::build(0), quicksort::build(0)];
+    for (tag, cfg) in [
+        ("nsf128", nsf_config(128)),
+        ("segmented_hw_4x32", segmented_config(4, PAR_CTX_REGS)),
+        (
+            "windows8",
+            SimConfig::with_regfile(RegFileSpec::sparc_windows(PAR_CTX_REGS)),
+        ),
+    ] {
+        for w in &workloads {
+            g.bench_function(format!("{}_{tag}", w.name.to_lowercase()), |b| {
+                b.iter(|| run(w, cfg).expect("validates"));
+            });
+        }
     }
     g.finish();
 }
@@ -47,6 +71,7 @@ fn bench_default_config(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_simulation,
+    bench_live_parallel,
     bench_compile,
     bench_default_config
 );

@@ -147,6 +147,7 @@ impl Cache {
     ///
     /// `write` selects a store; the policy is write-back, write-allocate,
     /// so stores miss and fill exactly like loads.
+    #[inline]
     pub fn access(&mut self, addr: Addr, write: bool) -> u32 {
         self.clock += 1;
         self.stats.accesses += 1;

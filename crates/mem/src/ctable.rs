@@ -70,6 +70,7 @@ impl Ctable {
     }
 
     /// Translates `cid` to its backing-store base address.
+    #[inline]
     pub fn lookup(&self, cid: u16) -> Result<Addr, CtableError> {
         self.entries
             .get(cid as usize)
@@ -79,6 +80,7 @@ impl Ctable {
     }
 
     /// The backing address of register `offset` of context `cid`.
+    #[inline]
     pub fn reg_addr(&self, cid: u16, offset: u8) -> Result<Addr, CtableError> {
         Ok(self.lookup(cid)? + Addr::from(offset))
     }

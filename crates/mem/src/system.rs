@@ -75,6 +75,7 @@ impl MemSystem {
 
     /// Reads a word without touching the cache model or statistics — used
     /// by the simulator's own bookkeeping and by tests.
+    #[inline]
     pub fn peek(&self, addr: Addr) -> Word {
         self.memory.peek(addr)
     }
@@ -98,11 +99,13 @@ impl MemSystem {
     }
 
     /// The Ctable (shared with register-file spill engines).
+    #[inline]
     pub fn ctable(&self) -> &Ctable {
         &self.ctable
     }
 
     /// Mutable access to the Ctable.
+    #[inline]
     pub fn ctable_mut(&mut self) -> &mut Ctable {
         &mut self.ctable
     }

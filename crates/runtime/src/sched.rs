@@ -83,6 +83,9 @@ pub struct Scheduler {
     cfg: SchedulerConfig,
     threads: Vec<Thread>,
     ready: VecDeque<ThreadId>,
+    /// The blocked threads, ascending by id. The wake pass and the
+    /// earliest-wake scan visit only these, not every thread ever spawned.
+    blocked: Vec<ThreadId>,
     current: Option<ThreadId>,
     free_cids: Vec<Cid>,
     /// Message channels (owned here so wake checks can consult them).
@@ -97,6 +100,7 @@ impl Scheduler {
             cfg,
             threads: Vec::new(),
             ready: VecDeque::new(),
+            blocked: Vec::new(),
             current: None,
             free_cids: (0..cfg.cid_capacity).rev().collect(),
             channels: ChannelTable::new(),
@@ -132,6 +136,7 @@ impl Scheduler {
     }
 
     /// The running thread, if any.
+    #[inline]
     pub fn current(&self) -> Option<&Thread> {
         self.current.map(|id| &self.threads[id as usize])
     }
@@ -142,12 +147,14 @@ impl Scheduler {
     ///
     /// Panics if no thread is running (the simulator only calls this
     /// between a `Run` decision and the next block/yield).
+    #[inline]
     pub fn current_mut(&mut self) -> &mut Thread {
         let id = self.current.expect("a thread is running");
         &mut self.threads[id as usize]
     }
 
     /// A thread by id.
+    #[inline]
     pub fn thread(&self, id: ThreadId) -> &Thread {
         &self.threads[id as usize]
     }
@@ -163,6 +170,7 @@ impl Scheduler {
     }
 
     /// Number of threads currently waiting in the ready queue.
+    #[inline]
     pub fn ready_count(&self) -> usize {
         self.ready.len()
     }
@@ -171,7 +179,13 @@ impl Scheduler {
     pub fn block_current(&mut self, reason: BlockReason) {
         let t = self.current_mut();
         t.state = ThreadState::Blocked(reason);
+        let id = t.id;
         self.current = None;
+        let at = self
+            .blocked
+            .binary_search(&id)
+            .expect_err("a running thread is not blocked");
+        self.blocked.insert(at, id);
     }
 
     /// Moves the running thread to the back of the ready queue.
@@ -196,24 +210,27 @@ impl Scheduler {
     /// zero (it lives in simulated memory, which the scheduler cannot
     /// see).
     pub fn next(&mut self, now: u64, mut sync_clear: impl FnMut(Addr) -> bool) -> SchedDecision {
-        // Wake pass.
-        for i in 0..self.threads.len() {
-            let id = i as ThreadId;
-            let wake = match self.threads[i].state {
-                ThreadState::Blocked(BlockReason::RemoteLoad { ready_at }) => ready_at <= now,
-                ThreadState::Blocked(BlockReason::Recv { chan }) => self
-                    .channels
-                    .next_delivery(chan)
-                    .is_some_and(|at| at <= now),
-                ThreadState::Blocked(BlockReason::Send { chan }) => self.channels.has_space(chan),
-                ThreadState::Blocked(BlockReason::Sync { addr }) => sync_clear(addr),
-                _ => false,
+        // Wake pass, in ascending id order.
+        let (threads, ready, channels) = (&mut self.threads, &mut self.ready, &self.channels);
+        self.blocked.retain(|&id| {
+            let t = &mut threads[id as usize];
+            let ThreadState::Blocked(reason) = t.state else {
+                unreachable!("thread {id} is listed as blocked but is {:?}", t.state)
+            };
+            let wake = match reason {
+                BlockReason::RemoteLoad { ready_at } => ready_at <= now,
+                BlockReason::Recv { chan } => {
+                    channels.next_delivery(chan).is_some_and(|at| at <= now)
+                }
+                BlockReason::Send { chan } => channels.has_space(chan),
+                BlockReason::Sync { addr } => sync_clear(addr),
             };
             if wake {
-                self.threads[i].state = ThreadState::Ready;
-                self.ready.push_back(id);
+                t.state = ThreadState::Ready;
+                ready.push_back(id);
             }
-        }
+            !wake
+        });
 
         if let Some(id) = self.ready.pop_front() {
             self.threads[id as usize].state = ThreadState::Running;
@@ -223,26 +240,19 @@ impl Scheduler {
 
         // Nothing ready: find the earliest timed wake.
         let mut earliest: Option<u64> = None;
-        let mut any_blocked = false;
-        for t in &self.threads {
-            match t.state {
-                ThreadState::Blocked(BlockReason::RemoteLoad { ready_at }) => {
-                    any_blocked = true;
-                    earliest = Some(earliest.map_or(ready_at, |e| e.min(ready_at)));
-                }
+        for &id in &self.blocked {
+            let at = match self.threads[id as usize].state {
+                ThreadState::Blocked(BlockReason::RemoteLoad { ready_at }) => Some(ready_at),
                 ThreadState::Blocked(BlockReason::Recv { chan }) => {
-                    any_blocked = true;
-                    if let Some(at) = self.channels.next_delivery(chan) {
-                        earliest = Some(earliest.map_or(at, |e| e.min(at)));
-                    }
+                    self.channels.next_delivery(chan)
                 }
-                ThreadState::Blocked(BlockReason::Sync { .. })
-                | ThreadState::Blocked(BlockReason::Send { .. }) => {
-                    any_blocked = true;
-                }
-                _ => {}
+                _ => None,
+            };
+            if let Some(at) = at {
+                earliest = Some(earliest.map_or(at, |e| e.min(at)));
             }
         }
+        let any_blocked = !self.blocked.is_empty();
         match (earliest, any_blocked) {
             (Some(at), _) => SchedDecision::AdvanceTo(at.max(now + 1)),
             (None, true) => SchedDecision::Deadlock,
@@ -254,6 +264,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sched() -> Scheduler {
         Scheduler::new(SchedulerConfig::default())
@@ -355,5 +366,129 @@ mod tests {
         let mut s = Scheduler::new(cfg);
         s.spawn(0, 0).unwrap();
         assert_eq!(s.spawn(0, 0), Err(SchedulerError::TooManyThreads));
+    }
+
+    /// The decision rule as a scan over every thread ever spawned: the
+    /// reference that [`Scheduler::next`]'s `blocked` list must match.
+    fn next_full_scan(
+        s: &mut Scheduler,
+        now: u64,
+        mut sync_clear: impl FnMut(Addr) -> bool,
+    ) -> SchedDecision {
+        for i in 0..s.threads.len() {
+            let id = i as ThreadId;
+            let wake = match s.threads[i].state {
+                ThreadState::Blocked(BlockReason::RemoteLoad { ready_at }) => ready_at <= now,
+                ThreadState::Blocked(BlockReason::Recv { chan }) => {
+                    s.channels.next_delivery(chan).is_some_and(|at| at <= now)
+                }
+                ThreadState::Blocked(BlockReason::Send { chan }) => s.channels.has_space(chan),
+                ThreadState::Blocked(BlockReason::Sync { addr }) => sync_clear(addr),
+                _ => false,
+            };
+            if wake {
+                s.threads[i].state = ThreadState::Ready;
+                s.ready.push_back(id);
+                s.blocked.retain(|&b| b != id);
+            }
+        }
+        if let Some(id) = s.ready.pop_front() {
+            s.threads[id as usize].state = ThreadState::Running;
+            s.current = Some(id);
+            return SchedDecision::Run(id);
+        }
+        let mut earliest: Option<u64> = None;
+        let mut any_blocked = false;
+        for t in &s.threads {
+            if let ThreadState::Blocked(reason) = t.state {
+                any_blocked = true;
+                let at = match reason {
+                    BlockReason::RemoteLoad { ready_at } => Some(ready_at),
+                    BlockReason::Recv { chan } => s.channels.next_delivery(chan),
+                    _ => None,
+                };
+                if let Some(at) = at {
+                    earliest = Some(earliest.map_or(at, |e| e.min(at)));
+                }
+            }
+        }
+        match (earliest, any_blocked) {
+            (Some(at), _) => SchedDecision::AdvanceTo(at.max(now + 1)),
+            (None, true) => SchedDecision::Deadlock,
+            (None, false) => SchedDecision::AllDone,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random spawn/block/yield/finish/channel traffic gives the same
+        /// decisions, ready order and thread states under `next` as
+        /// under the full scan.
+        #[test]
+        fn blocked_list_matches_full_scan(
+            ops in proptest::collection::vec((0u8..9, 0u64..40), 1..300)
+        ) {
+            let mut fast = sched();
+            let mut slow = sched();
+            for s in [&mut fast, &mut slow] {
+                s.channels.create();
+                s.channels.create_with_capacity(Some(1));
+                s.channels.create_with_capacity(Some(2));
+            }
+            let mut now = 0u64;
+            let mut clear = [false; 4];
+            for (step, &(kind, arg)) in ops.iter().enumerate() {
+                let chan = (arg % 3) as u32;
+                let running = fast.current.is_some();
+                match kind {
+                    // Toggle whether a join counter reads zero.
+                    8 => clear[(arg % 4) as usize] ^= true,
+                    // A thread op with nothing running: decide instead.
+                    1..=6 if !running => {
+                        now += arg % 8;
+                        let probe = |a: Addr| clear[a as usize];
+                        let got = fast.next(now, probe);
+                        let want = next_full_scan(&mut slow, now, probe);
+                        prop_assert_eq!(got, want, "decision at op {}", step);
+                        if let SchedDecision::AdvanceTo(t) = got {
+                            now = t;
+                        }
+                    }
+                    _ => {
+                        for s in [&mut fast, &mut slow] {
+                            match kind {
+                                0 => {
+                                    s.spawn(0, 0).unwrap();
+                                }
+                                1 => s.block_current(BlockReason::RemoteLoad {
+                                    ready_at: now + arg,
+                                }),
+                                2 => s.block_current(BlockReason::Recv { chan }),
+                                3 => s.block_current(BlockReason::Send { chan }),
+                                4 => s.block_current(BlockReason::Sync {
+                                    addr: (arg % 4) as Addr,
+                                }),
+                                5 => s.yield_current(),
+                                6 => {
+                                    s.finish_current();
+                                }
+                                _ if arg % 2 == 0 => {
+                                    s.channels.try_send(chan, 0, now + arg / 2);
+                                }
+                                _ => {
+                                    s.channels.try_recv(chan, now);
+                                }
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(&fast.ready, &slow.ready, "ready order at op {}", step);
+                prop_assert_eq!(fast.current, slow.current);
+                prop_assert_eq!(&fast.blocked, &slow.blocked);
+                let states = |s: &Scheduler| s.threads.iter().map(|t| t.state).collect::<Vec<_>>();
+                prop_assert_eq!(states(&fast), states(&slow));
+            }
+        }
     }
 }

@@ -59,7 +59,8 @@ pub struct Thread {
     /// Thread-global registers `g0..g3` (`g0` = stack pointer,
     /// `g1` = return value).
     pub globals: [Word; NUM_GLOBAL_REGS as usize],
-    /// Run state.
+    /// Run state. Only the [`crate::Scheduler`] changes it: it keeps its
+    /// list of blocked threads in step with this field.
     pub state: ThreadState,
     /// A register write to apply when the thread resumes (the delivered
     /// value of a remote load or channel receive).

@@ -31,7 +31,7 @@
 use crate::backing::LaneStore;
 use crate::config::{SimConfig, BACKING_STRIDE_WORDS};
 use crate::machine::{div_s, rem_s, SimError, Status, ICACHE_BASE};
-use crate::metrics::{OccupancySummary, RunReport};
+use crate::metrics::{OccupancySummary, RunReport, SampleCountdown};
 use nsf_core::{Cid, EngineDispatch, LaneOp, RegAddr, RegFileError, RegisterFile};
 use nsf_isa::{Inst, InstClass, Program, Reg};
 use nsf_mem::{Addr, Cache, MemSystem, Word};
@@ -170,6 +170,7 @@ pub struct LaneSet {
     /// Frontend counters shared by every lane; per-lane fields (cycles,
     /// regfile, dcache, occupancy, icache) are filled in per report.
     shared: RunReport,
+    sample_clock: SampleCountdown,
     last_thread: Option<ThreadId>,
     active_cid: Option<Cid>,
     icache: Option<Cache>,
@@ -250,6 +251,7 @@ impl LaneSet {
             clocks: vec![0; cfgs.len()],
             occupancy: vec![OccupancySummary::default(); cfgs.len()],
             shared: RunReport::default(),
+            sample_clock: SampleCountdown::new(first.sample_interval),
             last_thread: None,
             active_cid: None,
             icache: first.icache.map(Cache::new),
@@ -545,11 +547,7 @@ impl LaneSet {
             self.charge_all(p, probe);
         }
 
-        if self
-            .shared
-            .instructions
-            .is_multiple_of(self.cfg.sample_interval)
-        {
+        if self.sample_clock.tick() {
             for (o, rf) in self.occupancy.iter_mut().zip(&self.regfiles) {
                 o.record(rf.occupancy());
             }

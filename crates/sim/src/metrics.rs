@@ -4,6 +4,37 @@ use nsf_core::{Occupancy, RegFileStats};
 use nsf_isa::InstClass;
 use nsf_mem::CacheStats;
 
+/// When to take an occupancy sample: every `interval`-th instruction,
+/// never when `interval == 0`. A countdown, so the per-instruction check
+/// is one compare instead of a division; both interpreters sample by it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SampleCountdown {
+    left: u64,
+    interval: u64,
+}
+
+impl SampleCountdown {
+    pub(crate) fn new(interval: u64) -> Self {
+        SampleCountdown {
+            left: interval,
+            interval,
+        }
+    }
+
+    /// Counts one instruction; true when it is a sample point.
+    #[inline]
+    pub(crate) fn tick(&mut self) -> bool {
+        if self.left == 1 {
+            self.left = self.interval;
+            true
+        } else {
+            // Saturates at 0, which is the never-sample state.
+            self.left = self.left.saturating_sub(1);
+            false
+        }
+    }
+}
+
 /// Occupancy averages accumulated by periodic sampling (the paper samples
 /// "active registers" and "resident contexts" over the whole run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
